@@ -22,8 +22,10 @@ object Jobs {
   def scaleOf(args: Array[String]): Double =
     args.headOption.map(_.toDouble).getOrElse(1.0)
 
-  def spec(base: ChainSpec, scale: Double): ChainSpec =
-    if (scale >= 1.0) base else base.scaled(scale)
+  def spec(base: ChainSpec, scale: Double): ChainSpec = {
+    require(scale > 0.0 && scale <= 1.0, s"scale must be in (0, 1], got $scale")
+    if (scale == 1.0) base else base.scaled(scale)
+  }
 
   def emit(title: String, df: DataFrame): Unit = {
     println(s"\n== $title")

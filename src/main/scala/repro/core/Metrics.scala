@@ -1,88 +1,42 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 
-/** The paper's three decentralization metrics as Catalyst aggregations.
+/** The paper's three decentralization metrics over Spark.
   *
   * All functions consume a *window counts* frame with columns
   * `(window_id: Long, miner: String, cnt: Long)` — one row per producer per
   * window — and return one row per `window_id`.
   *
-  * Numeric notes:
-  *   - Gini stays in integer arithmetic until a single final double division,
-  *     so the result is bit-identical to any other engine using the same rank
-  *     formula (the DuckDB oracle compares it exactly).
-  *   - The Nakamoto 51% threshold test is integer-exact (`cum·100 ≥ tot·51`).
-  *   - Entropy uses `p·log₂(1/p)` (not `−p·log₂ p`) so a single-producer
-  *     window yields +0.0 rather than −0.0.
+  * One kernel computes everything: a single `groupBy(window_id)` collects
+  * each window's counts and [[LocalMetrics.window]] sorts them once and
+  * returns producers, attributions, Gini, entropy and Nakamoto together, so
+  * a metrics plan has one shuffle exchange. Gini stays integer-exact until
+  * one final division, and the Nakamoto threshold test is integer-exact, so
+  * both are bit-identical to the DuckDB oracle's rank-formula SQL.
   */
 object Metrics {
 
-  private val W = "window_id"
-
-  /** Gini coefficient per window (paper Eq. 1) via the rank formula
-    * `G = (2·Σ rank·x − (n+1)·Σx) / (n·Σx)` with ranks ascending by
-    * (cnt, miner). Ties are rank-order invariant because tied entries share
-    * the same count.
-    */
-  def gini(counts: DataFrame): DataFrame = {
-    val byAsc = Window.partitionBy(W).orderBy(col("cnt").asc, col("miner").asc)
-    counts
-      .withColumn("rk", row_number().over(byAsc))
-      .groupBy(W)
-      .agg(
-        count(lit(1)).as("n"),
-        sum("cnt").as("tot"),
-        sum(col("rk").cast(LongType) * col("cnt")).as("s1"),
-      )
-      .select(
-        col(W),
-        ((lit(2L) * col("s1") - (col("n") + lit(1L)) * col("tot")).cast(DoubleType) /
-          (col("n") * col("tot")).cast(DoubleType)).as("gini"),
-      )
-  }
-
-  /** Shannon entropy (bits) per window (paper Eq. 2–3). */
-  def entropy(counts: DataFrame): DataFrame = {
-    val perWindow = Window.partitionBy(W)
-    counts
-      .withColumn("p", col("cnt").cast(DoubleType) / sum("cnt").over(perWindow).cast(DoubleType))
-      .groupBy(W)
-      .agg(sum(col("p") * log2(lit(1.0) / col("p"))).as("entropy"))
-  }
-
-  /** Nakamoto coefficient per window (paper Eq. 4): rank producers by
-    * descending count (miner name breaks ties) and take the first rank whose
-    * cumulative count reaches `thresholdPct`% of the window total.
-    */
-  def nakamoto(counts: DataFrame, thresholdPct: Int = 51): DataFrame = {
-    require(thresholdPct >= 1 && thresholdPct <= 100, s"bad threshold $thresholdPct")
-    val byDesc = Window.partitionBy(W).orderBy(col("cnt").desc, col("miner").asc)
-    counts
-      .withColumn("rk", row_number().over(byDesc))
-      .withColumn(
-        "cum",
-        sum("cnt").over(byDesc.rowsBetween(Window.unboundedPreceding, Window.currentRow)),
-      )
-      .withColumn("tot", sum("cnt").over(Window.partitionBy(W)))
-      .where(col("cum") * lit(100L) >= col("tot") * lit(thresholdPct.toLong))
-      .groupBy(W)
-      .agg(min("rk").as("nakamoto"))
-  }
-
-  /** All three metrics plus window population stats:
-    * `(window_id, producers, attributions, gini, entropy, nakamoto)`.
+  /** `(window_id, producers, attributions, gini, entropy, nakamoto)`, one row
+    * per window; Nakamoto at `thresholdPct`% of the window's attributions.
     */
   def all(counts: DataFrame, thresholdPct: Int = 51): DataFrame = {
-    val base = counts
-      .groupBy(W)
-      .agg(count(lit(1)).as("producers"), sum("cnt").as("attributions"))
-    base
-      .join(gini(counts), Seq(W))
-      .join(entropy(counts), Seq(W))
-      .join(nakamoto(counts, thresholdPct), Seq(W))
+    require(thresholdPct >= 1 && thresholdPct <= 100, s"bad threshold $thresholdPct")
+    val kernel = udf((xs: Seq[Long]) => LocalMetrics.window(xs, thresholdPct))
+    counts
+      .groupBy("window_id")
+      .agg(kernel(collect_list("cnt")).as("m"))
+      .select("window_id", "m.producers", "m.attributions", "m.gini", "m.entropy", "m.nakamoto")
   }
+
+  /** Gini coefficient per window (paper Eq. 1). */
+  def gini(counts: DataFrame): DataFrame = all(counts).select("window_id", "gini")
+
+  /** Shannon entropy (bits) per window (paper Eq. 2–3). */
+  def entropy(counts: DataFrame): DataFrame = all(counts).select("window_id", "entropy")
+
+  /** Nakamoto coefficient per window (paper Eq. 4). */
+  def nakamoto(counts: DataFrame, thresholdPct: Int = 51): DataFrame =
+    all(counts, thresholdPct).select("window_id", "nakamoto")
 }

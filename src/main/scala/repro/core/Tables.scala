@@ -99,8 +99,8 @@ object Tables {
   }
 
   /** T6 — the day-14 Bitcoin case study (paper §II-C-1d): daily metrics for
-    * days 12–16 plus the all-year daily mean, with true block counts (an
-    * anomalous day has far more attributions than blocks).
+    * days 12–16 in day order, then the all-year daily mean, with true block
+    * counts (an anomalous day has far more attributions than blocks).
     */
   def day14Case(attrib: DataFrame): DataFrame = {
     val daily = Pipeline.fixed(attrib, FixedWindows.Daily)
@@ -111,6 +111,7 @@ object Tables {
       .join(blocksPerDay, Seq("window_id"))
       .where(col("window_id").between(12, 16))
       .select(
+        col("window_id").as("row"),
         concat(lit("day_"), col("window_id")).as("label"),
         col("blocks"), col("producers"), col("attributions"),
         col("gini"), col("entropy"), col("nakamoto").cast("long").as("nakamoto"),
@@ -125,8 +126,8 @@ object Tables {
         avg("entropy").as("entropy"),
         avg(col("nakamoto").cast("double")).cast("long").as("nakamoto"),
       )
-      .select(lit("daily_mean").as("label"), col("*"))
-    detail.unionByName(meanRow)
+      .select(lit(Long.MaxValue).as("row"), lit("daily_mean").as("label"), col("*"))
+    detail.unionByName(meanRow).orderBy("row").drop("row")
   }
 
   /** T7 — Bitcoin vs Ethereum (paper §II-C-3): per granularity and metric,
@@ -162,7 +163,9 @@ object Tables {
   /** Top-k producer shares within one window (paper Fig. 7's pie charts). */
   def topShares(counts: DataFrame, windowId: Long, k: Int): DataFrame = {
     val w = counts.where(col("window_id") === windowId)
-    val tot = w.agg(sum("cnt")).first().getLong(0)
+    val sumRow = w.agg(sum("cnt")).first()
+    require(!sumRow.isNullAt(0), s"topShares: window $windowId has no rows")
+    val tot = sumRow.getLong(0)
     w.select(col("miner"), col("cnt"), (col("cnt").cast("double") / lit(tot.toDouble)).as("share"))
       .orderBy(col("cnt").desc, col("miner"))
       .limit(k)

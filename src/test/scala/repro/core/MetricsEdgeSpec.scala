@@ -21,8 +21,8 @@ class MetricsEdgeSpec extends SparkSpec {
   }
 
   test("nakamoto tie-break at the threshold row is deterministic") {
-    // Two miners with identical counts at the 51% boundary: row_number must
-    // break ties by miner name, same as the local reference.
+    // Two miners with identical counts at the 51% boundary: tied producers
+    // share a count, so their order cannot change the result.
     val df = countsDf(Seq((0L, "b", 50L), (0L, "a", 50L)))
     assert(Metrics.nakamoto(df).first().getInt(1) === 2)
     val df2 = countsDf(Seq((0L, "b", 51L), (0L, "a", 49L)))

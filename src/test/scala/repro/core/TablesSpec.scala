@@ -104,6 +104,12 @@ class TablesSpec extends SparkSpec {
     assert(shares.sliding(2).forall { case Array(a, b) => a >= b })
   }
 
+  test("topShares of a window with no rows fails naming the window") {
+    val counts = FixedWindows.counts(bAttrib, FixedWindows.Monthly)
+    val e = intercept[IllegalArgumentException](Tables.topShares(counts, windowId = 99L, k = 5))
+    assert(e.getMessage.contains("99"))
+  }
+
   test("Render.table produces an aligned header and rows") {
     import spark.implicits._
     val df  = Seq((1L, "a", 0.5), (2L, "bb", 1.0)).toDF("id", "name", "x")
